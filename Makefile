@@ -22,8 +22,9 @@
 #                        rings; writes cluster-xl.json so the nightly
 #                        workflow can upload the report
 #   make bench         - the hot-path microbenchmarks (kernel dispatch incl.
-#                        the 4096-deep timer population, host sleep/wake and
-#                        quantum rotation, bus broadcast, full counter runs)
+#                        the 4096-deep timer population, the proc round
+#                        trip and spawn, host sleep/wake and quantum
+#                        rotation, bus broadcast, full counter runs)
 #                        plus the figure benchmarks at reduced scale
 #   make bench-smoke   - the microbenchmarks once (-benchtime=1x), as CI runs them
 #   make bench-record  - regenerate BENCH_sweep.json, the engine-throughput
@@ -45,7 +46,7 @@
 
 GO ?= go
 
-MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkBusBroadcast|BenchmarkCounterRun
+MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcRoundTrip|BenchmarkSpawn|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkBusBroadcast|BenchmarkCounterRun
 
 .PHONY: ci ci-stage fmt-check vet test race smoke cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-check profile
 

@@ -117,7 +117,7 @@ func DefaultConfig(numPages int) Config {
 
 // Driver is one host's Mether kernel driver plus the state shared with
 // its user-level server. All client-facing methods must be called from a
-// process goroutine on the same host (they may block the caller); the
+// process on the same host (they may block the caller); the
 // server runs as its own process started by StartServer.
 type Driver struct {
 	h     *host.Host

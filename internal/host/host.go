@@ -171,8 +171,8 @@ func (h *Host) BusyTime() time.Duration { return h.busy }
 func (h *Host) Procs() []*Proc { return h.procs }
 
 // Proc is a simulated OS process. Methods other than accessors must be
-// called only from the process's own goroutine (inside its Spawn
-// function); Wakeup-style operations go through the Host.
+// called only from the process itself (inside its Spawn function);
+// Wakeup-style operations go through the Host.
 type Proc struct {
 	h     *Host
 	sp    *sim.Proc
@@ -191,25 +191,22 @@ type Proc struct {
 	// blocked bookkeeping
 	sleepKey any
 
-	// Precomputed event names and closures so the dispatch/sleep hot
-	// paths schedule kernel events without per-call allocations.
-	dispatchName string
-	dispatchFn   func()
-	timerName    string
-	timerFn      func()
+	// Precomputed closures so the dispatch/sleep hot paths schedule
+	// kernel events without per-call allocations.
+	dispatchFn func()
+	timerFn    func()
 }
 
-// Spawn creates a process and makes it runnable. fn runs under the
-// simulation's handoff discipline and should express all CPU consumption
-// through Use/UseUser/UseSys and all blocking through the Sleep methods.
+// Spawn creates a process and makes it runnable. fn runs as a sim.Proc
+// coroutine that executes only while it holds this host's CPU, so it
+// should express all CPU consumption through Use/UseUser/UseSys and all
+// blocking through the Sleep methods.
 func (h *Host) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{h: h, name: name, state: stateRunnable}
-	p.dispatchName = "dispatch " + name
 	p.dispatchFn = func() { h.finishDispatch(p) }
-	p.timerName = "timer " + name
 	p.timerFn = func() { h.timerFire(p) }
 	h.procs = append(h.procs, p)
-	p.sp = h.k.Spawn(fmt.Sprintf("%s/%s", h.name, name), func(sp *sim.Proc) {
+	p.sp = h.k.Spawn(h.name+"/"+name, func(sp *sim.Proc) {
 		// Wait to be dispatched for the first time.
 		p.acquireCPU()
 		fn(p)
@@ -281,7 +278,7 @@ func (h *Host) maybeDispatch() {
 	next.inRunq = false
 	h.ctxSwitches++
 	delay := h.pr.CtxSwitch + h.pr.DispatchLatency
-	h.k.After(delay, next.dispatchName, next.dispatchFn)
+	h.k.After(delay, "dispatch", next.dispatchFn)
 }
 
 // finishDispatch completes a context switch armed by maybeDispatch.
@@ -404,7 +401,7 @@ func (p *Proc) SleepFor(d time.Duration) {
 	h := p.h
 	p.state = stateBlocked
 	p.releaseCPU()
-	h.k.After(d, p.timerName, p.timerFn)
+	h.k.After(d, "timer", p.timerFn)
 	for p.state == stateBlocked {
 		p.sp.Park("timed sleep")
 	}

@@ -87,3 +87,56 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 	k.After(time.Microsecond, "tick", tick)
 	k.Run()
 }
+
+// BenchmarkProcRoundTrip measures one process sleeping in a loop: each
+// op is a park, a timer event and a resume, the process switch every
+// Sleep and Park pays.
+func BenchmarkProcRoundTrip(b *testing.B) {
+	k := New(1)
+	k.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.StopTimer()
+	k.Shutdown()
+}
+
+// BenchmarkSpawn measures a process's whole life cycle in kernels of
+// 128 processes: Spawn, first dispatch up to a Park, and Shutdown. One
+// op is one process.
+func BenchmarkSpawn(b *testing.B) {
+	const procs = 128
+	b.ReportAllocs()
+	for n := 0; n < b.N; n += procs {
+		k := New(1)
+		for i := n; i < n+procs && i < b.N; i++ {
+			k.Spawn("p", func(p *Proc) { p.Park("idle") })
+		}
+		k.Run()
+		k.Shutdown()
+	}
+}
+
+// TestProcRoundTripAllocs pins the steady-state process switch at zero
+// allocations: the wake event comes from the freelist and the resume
+// and park are coroutine transfers.
+func TestProcRoundTripAllocs(t *testing.T) {
+	k := New(1)
+	k.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	k.RunUntil(time.Millisecond) // warm up the freelist
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.RunUntil(k.Now() + time.Microsecond)
+	})
+	k.Shutdown()
+	if allocs != 0 {
+		t.Errorf("proc round trip allocates %.2f/op, want 0", allocs)
+	}
+}

@@ -15,53 +15,84 @@ const (
 	procDead
 )
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// deterministically by the Kernel. All Proc methods except Wake must be
-// called from within the process's own goroutine (i.e. from the function
-// passed to Spawn). Wake must be called from kernel context — an event
-// callback or another running process.
+// Proc is a simulated process: a coroutine whose execution is
+// interleaved deterministically by the Kernel. All Proc methods except
+// Wake must be called from within the process itself (i.e. from the
+// function passed to Spawn). Wake must be called from kernel context —
+// an event callback or another running process.
 type Proc struct {
-	k      *Kernel
-	name   string
-	state  procState
-	resume chan struct{}
+	k     *Kernel
+	name  string
+	state procState
 	// wakePending coalesces Wake calls that arrive while the process is
 	// not parked; the next Park returns immediately.
 	wakePending bool
 	parkReason  any
-	aborting    bool
-	// runFn and wakeName are precomputed once so the park/wake hot path
-	// schedules events without allocating a closure or a name string.
-	runFn    func()
-	wakeName string
+	// next resumes the coroutine until it parks or exits; yield, called
+	// from inside it, hands control back and reports false once stop
+	// has ended the coroutine.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// runFn is precomputed once so the park/wake hot path schedules
+	// events without allocating a closure.
+	runFn func()
 }
 
+// abortSignal is panicked inside a process when Shutdown stops it,
+// unwinding the process function back to the Spawn wrapper.
+type abortSignal struct{}
+
 // Spawn creates a process and schedules it to start at the current
-// virtual time. fn runs on its own goroutine under the kernel's handoff
-// discipline and must use only this package's blocking primitives.
+// virtual time. fn runs as a coroutine (see pull): it executes only
+// while the kernel has resumed it, and control passes back whenever it
+// blocks (Sleep, Park) or returns, so fn must use only this package's
+// blocking primitives. Spawn runs the coroutine once, up to a yield
+// before fn, so iter.Pull's lazily built yield closure is allocated
+// here rather than at the first dispatch.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
+	p := &Proc{k: k, name: name}
 	p.runFn = func() { k.runProc(p) }
-	p.wakeName = "wake " + name
-	k.procs = append(k.procs, p)
-	go func() {
+	p.next, p.stop = pull(func(yield func(struct{}) bool) {
 		defer func() {
+			p.state = procDead
 			if r := recover(); r != nil {
 				if _, ok := r.(abortSignal); !ok {
 					panic(r)
 				}
 			}
-			p.state = procDead
-			k.handoff <- struct{}{}
 		}()
-		<-p.resume
-		if p.aborting {
-			panic(abortSignal{})
+		p.yield = yield
+		if yield(struct{}{}) {
+			fn(p)
 		}
-		fn(p)
-	}()
-	k.After(0, "spawn "+name, p.runFn)
+	})
+	p.next()
+	k.procs = append(k.procs, p)
+	k.After(0, "spawn", p.runFn)
 	return p
+}
+
+// runProc resumes p until it parks or exits. A panic inside p other
+// than Shutdown's abort surfaces here, and so from RunUntil.
+func (k *Kernel) runProc(p *Proc) {
+	if p.state == procDead {
+		return
+	}
+	p.state = procRunning
+	p.next()
+}
+
+// Shutdown stops every process that has not exited, unwinding blocked
+// and never-started ones so their coroutines end. It must be called
+// after Run/RunUntil has returned, never from inside an event or
+// process. Worlds that create many kernels (tests, sweeps) should call
+// Shutdown to avoid accumulating suspended coroutines.
+func (k *Kernel) Shutdown() {
+	k.stopped = true
+	for _, p := range k.procs {
+		p.stop()
+	}
 }
 
 // Name returns the process name given at Spawn.
@@ -73,11 +104,10 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// park returns control to the kernel and blocks until resumed.
+// park returns control to the kernel and blocks until resumed. If
+// Shutdown stopped the coroutine instead, it unwinds the process.
 func (p *Proc) park() {
-	p.k.handoff <- struct{}{}
-	<-p.resume
-	if p.aborting {
+	if !p.yield(struct{}{}) {
 		panic(abortSignal{})
 	}
 	p.state = procRunning
@@ -91,7 +121,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	p.state = procWaiting
-	p.k.After(d, p.wakeName, p.runFn)
+	p.k.After(d, "wake", p.runFn)
 	p.park()
 }
 
@@ -121,7 +151,7 @@ func (p *Proc) Wake() {
 	case procDead:
 	case procParked:
 		p.state = procWaiting // resume already scheduled below
-		p.k.After(0, p.wakeName, p.runFn)
+		p.k.After(0, "wake", p.runFn)
 	default:
 		p.wakePending = true
 	}

@@ -1,12 +1,14 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel maintains a virtual clock and dispatches events in exact
-// (time, insertion sequence) order. Simulated processes are goroutines
-// that run under a strict single-runner handoff discipline: at any
-// instant at most one process goroutine executes, and control passes
-// back to the kernel whenever the process blocks (Sleep, Park) or
-// exits. Together with a seeded random source this makes every
-// simulation bit-reproducible.
+// (time, insertion sequence) order. Simulated processes are iter.Pull
+// coroutines that the kernel resumes from event callbacks: at any
+// instant at most one process executes, and control passes back to the
+// kernel whenever the process blocks (Sleep, Park) or exits. A switch
+// is a direct coroutine transfer, not a trip through the Go scheduler
+// (race builds swap in a goroutine pair, see pull_race.go).
+// Together with a seeded random source this makes every simulation
+// bit-reproducible.
 //
 // The package is intentionally free of real-time dependencies: virtual
 // time is a time.Duration measured from the start of the run, and nothing
@@ -34,8 +36,8 @@ import (
 )
 
 // Kernel is a discrete-event simulation engine. Create one with New.
-// A Kernel must only be used from event callbacks and from process
-// goroutines it manages; it is not safe for concurrent use from outside
+// A Kernel must only be used from event callbacks and from the
+// processes it manages; it is not safe for concurrent use from outside
 // the simulation.
 type Kernel struct {
 	now   time.Duration
@@ -58,7 +60,6 @@ type Kernel struct {
 	free       []*Event
 	rng        *rand.Rand
 	procs      []*Proc
-	running    *Proc
 	dispatched uint64
 	// Coalescing state (see AfterCoalesced): the open batch, its absolute
 	// deadline, and the value of seq immediately after the batch's last
@@ -68,19 +69,13 @@ type Kernel struct {
 	coalAt    time.Duration
 	coalSeq   uint64
 	freeBatch []*batch
-	// handoff is signalled by a process goroutine when it parks or exits,
-	// returning control to the kernel loop.
-	handoff chan struct{}
-	stopped bool
+	stopped   bool
 }
 
 // New returns a Kernel whose random source is seeded with seed.
 // Equal seeds produce identical runs.
 func New(seed int64) *Kernel {
-	return &Kernel{
-		rng:     rand.New(rand.NewSource(seed)),
-		handoff: make(chan struct{}),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -315,19 +310,6 @@ func (k *Kernel) PendingEvents() int {
 // seeds report equal counts; sweeps use it for events/sec throughput
 // records.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
-
-// runProc transfers control to p until it parks or exits.
-func (k *Kernel) runProc(p *Proc) {
-	if p.state == procDead {
-		return
-	}
-	prev := k.running
-	k.running = p
-	p.state = procRunning
-	p.resume <- struct{}{}
-	<-k.handoff
-	k.running = prev
-}
 
 // Event is a scheduled callback. The zero value is not useful; events are
 // created by Kernel.At and Kernel.After. After the callback has run the

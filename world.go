@@ -386,8 +386,9 @@ func (w *World) Run() time.Duration { return w.k.Run() }
 // RunUntil executes the simulation up to the given virtual deadline.
 func (w *World) RunUntil(d time.Duration) time.Duration { return w.k.RunUntil(d) }
 
-// Shutdown releases all simulation goroutines. Call it when done with a
-// World, especially in tests and sweeps that build many worlds.
+// Shutdown ends all simulated processes and releases their coroutines.
+// Call it when done with a World, especially in tests and sweeps that
+// build many worlds.
 func (w *World) Shutdown() { w.k.Shutdown() }
 
 // Spawn starts a simulated application process on a host. fn must express
